@@ -18,8 +18,11 @@ test: build
 # The full local gate: tier-1 tests, the static-analysis suite, the
 # telemetry-server smoke (boot, curl every endpoint, assert statuses),
 # the allocation-budget gate over the profiler's warm paths, the
-# fault-injection campaign, and the bounded schedule exploration.
+# fault-injection campaign, the bounded schedule exploration, and the
+# tests of the nested end-to-end benchmark module (e2ebench/), which the
+# root `go build ./...` and `go test ./...` skip.
 check: test vet serve-smoke bench-gate chaos explore
+	$(GO) -C e2ebench test ./...
 
 race:
 	$(GO) test -race ./...
@@ -42,7 +45,7 @@ bench-pool:
 # folding, windowed signals report), the engine's speculative run with
 # the controlled scheduler off (nil fast path) and on, the
 # deterministic-reservations protocol, and the engine's recycled hot
-# path (warm vs cold run, grouping, hash-first acceptance), written to
+# path (warm vs cold run, grouping), written to
 # $(BENCH) (the checked-in regression reference continuing
 # BENCH_pr9.json). The run also enforces the allocs/op ceilings in
 # BENCH_budget.json.

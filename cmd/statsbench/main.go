@@ -7,8 +7,7 @@
 // controlled scheduler disabled and enabled, the
 // deterministic-reservations protocol in its whole-state and slotted
 // shapes, and the engine's recycled hot path: warm vs cold run
-// allocations, grouping-dominant runs, and the hash-first acceptance
-// probe (hit and miss).
+// allocations and grouping-dominant runs.
 //
 // With -budget it also acts as the regression gate: the budget file
 // maps benchmark names (GOMAXPROCS -N suffix stripped) to allocs/op
@@ -71,7 +70,7 @@ type BenchDoc struct {
 var suites = []struct{ pkg, pattern string }{
 	{"./internal/telemetry", "BenchmarkMetricsScrapeUnderLoad|BenchmarkEmitWithSSEClient|BenchmarkEmitDisabledObserver|BenchmarkBuildSpans|BenchmarkSpanFolderWarm|BenchmarkSignalsReport"},
 	{"./internal/obs", "BenchmarkEmitDisabled$|BenchmarkEmitEnabled|BenchmarkObserverDisabledGroupPath"},
-	{"./internal/core", "BenchmarkEngineSpeculative$|BenchmarkEngineControlledSched$|BenchmarkEngineReservations$|BenchmarkEngineWarmRun|BenchmarkEngineColdRun$|BenchmarkEngineGrouping$|BenchmarkMatchAnyFingerprint"},
+	{"./internal/core", "BenchmarkEngineSpeculative$|BenchmarkEngineControlledSched$|BenchmarkEngineReservations$|BenchmarkEngineWarmRun|BenchmarkEngineColdRun$|BenchmarkEngineGrouping$"},
 }
 
 func main() {

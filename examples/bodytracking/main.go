@@ -188,13 +188,6 @@ func main() {
 		}
 		return false
 	})
-	// Hash-first prefilter: the digest must be equal whenever the match
-	// above would accept. Acceptance tolerates continuous pose drift, so
-	// only the particle-set structure is invariant; both producers build
-	// the same particle count, so the prefilter always falls through —
-	// the wiring is what this demonstrates (a discrete-feature acceptance
-	// would reject most mismatches in this one probe).
-	sd.SetFingerprint(func(m model) uint64 { return uint64(len(m.poses)) })
 	sd.Configure(stats.Options{
 		UseAux: true, GroupSize: 8, Window: 4, RedoMax: 2, Rollback: 3, Workers: 8, Seed: 7,
 	})

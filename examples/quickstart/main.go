@@ -103,14 +103,6 @@ func main() {
 		sd := stats.NewStateDependence(inputs, estimate{}, compute)
 		sd.SetAuxiliary(aux)
 		sd.SetStateOps(nil, match)
-		// Hash-first prefilter (stats.FingerprintFunc): the digest must
-		// be equal whenever match would accept. This acceptance is a
-		// tolerance band over a continuous mean, so no numeric feature
-		// survives an accepted pair — the digest covers only the state's
-		// fixed structure and always falls through to match. A dependence
-		// comparing discrete features (counts, labels) would hash those
-		// and skip most deep comparisons in one probe.
-		sd.SetFingerprint(func(estimate) uint64 { return 1 })
 		sd.Configure(stats.Options{
 			UseAux:    true,
 			GroupSize: 8,

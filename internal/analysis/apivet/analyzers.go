@@ -535,115 +535,3 @@ func forEachFuncBody(file *ast.File, fn func(*ast.BlockStmt)) {
 		}
 	}
 }
-
-// FingerprintLit nudges hash-first acceptance: a dependence that defines
-// MatchAny but no Fingerprint runs the deep state comparison on every
-// acceptance attempt, where a cheap digest of the compared features would
-// reject most mismatches in one table probe. Two forms are checked: a
-// StateOps composite literal with a non-nil MatchAny key and no
-// Fingerprint key, and a SetStateOps call with a non-nil match argument
-// on a receiver that never gets a SetFingerprint call in the same file.
-// The fingerprint contract is one-sided (equal whenever MatchAny would
-// accept), so a structural digest is always available.
-var FingerprintLit = &Analyzer{
-	Name: "fingerprint",
-	Doc:  "MatchAny without Fingerprint: every acceptance attempt pays the deep comparison; attach a hash-first prefilter",
-	Run:  runFingerprint,
-}
-
-func runFingerprint(fset *token.FileSet, file *ast.File) []Diagnostic {
-	var out []Diagnostic
-	ast.Inspect(file, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok || !isStateOpsType(lit.Type) {
-			return true
-		}
-		var matchPos token.Pos
-		hasMatch, hasFP := false, false
-		for _, el := range lit.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			switch key.Name {
-			case "MatchAny":
-				if !isNilIdent(kv.Value) {
-					hasMatch = true
-					matchPos = kv.Pos()
-				}
-			case "Fingerprint":
-				hasFP = true
-			}
-		}
-		if hasMatch && !hasFP {
-			out = append(out, diag(fset, matchPos, "fingerprint",
-				"StateOps sets MatchAny without Fingerprint; every acceptance attempt pays the deep comparison — attach a digest of the compared features (equal whenever MatchAny would accept) to reject mismatches in one probe"))
-		}
-		return true
-	})
-
-	// SetStateOps(_, match) with a non-nil match, on a receiver never
-	// given a SetFingerprint in this file.
-	type setCall struct {
-		recv string
-		pos  token.Pos
-	}
-	var setOps []setCall
-	fingerprinted := map[string]bool{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		recv, ok := baseIdent(sel.X)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "SetStateOps":
-			if len(call.Args) == 2 && !isNilIdent(call.Args[1]) {
-				setOps = append(setOps, setCall{recv.Name, call.Pos()})
-			}
-		case "SetFingerprint":
-			fingerprinted[recv.Name] = true
-		}
-		return true
-	})
-	for _, c := range setOps {
-		if !fingerprinted[c.recv] {
-			out = append(out, diag(fset, c.pos, "fingerprint",
-				"%s.SetStateOps attaches a match function but %s never gets a SetFingerprint; every acceptance attempt pays the deep comparison — attach a digest of the compared features (equal whenever the match would accept)", c.recv, c.recv))
-		}
-	}
-	return out
-}
-
-// isStateOpsType matches core.StateOps / StateOps, possibly explicitly
-// instantiated.
-func isStateOpsType(t ast.Expr) bool {
-	switch tt := t.(type) {
-	case *ast.SelectorExpr:
-		return tt.Sel.Name == "StateOps"
-	case *ast.Ident:
-		return tt.Name == "StateOps"
-	case *ast.IndexExpr:
-		return isStateOpsType(tt.X)
-	case *ast.IndexListExpr:
-		return isStateOpsType(tt.X)
-	}
-	return false
-}
-
-// isNilIdent reports whether e is the literal nil.
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}

@@ -1,6 +1,6 @@
 // Package apivet holds the statsvet analyzers for runtime-API misuse in
 // user Go code — the mistakes that compile fine, run fine, and quietly
-// disable or corrupt speculation (or leave easy speed on the table). Five
+// disable or corrupt speculation. Four
 // analyzers ship:
 //
 //   - negopts: a negative GroupSize/Window/RedoMax/Rollback/Workers in an
@@ -19,10 +19,6 @@
 //     held across the round, so invocations would alias one slice), a
 //     constant slot index outside [0, NumSlots), or a Merge that mutates
 //     its src argument (the committed winner's state).
-//   - fingerprint: a dependence defining MatchAny (literal StateOps or
-//     SetStateOps with a non-nil match) without a Fingerprint — every
-//     acceptance attempt pays the deep state comparison where a hash-first
-//     prefilter would reject most mismatches in one probe.
 //
 // The analyzers are deliberately syntactic (stdlib go/ast only, no
 // golang.org/x/tools dependency, which keeps them usable in hermetic
@@ -70,7 +66,7 @@ type Analyzer struct {
 
 // Analyzers returns the runtime-API analyzers in execution order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NegOpts, DroppedStats, SpecClosure, ReserveOpsLit, FingerprintLit}
+	return []*Analyzer{NegOpts, DroppedStats, SpecClosure, ReserveOpsLit}
 }
 
 // AnalyzeFile runs every analyzer over one parsed file.

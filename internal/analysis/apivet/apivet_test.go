@@ -168,52 +168,3 @@ func TestAnalyzePathsWalksRepo(t *testing.T) {
 		t.Fatalf("analyzers flag the repository's own code:\n%v", ds)
 	}
 }
-
-func TestFingerprintStateOpsLiteral(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	ops := core.StateOps[walk]{
-		Clone:    func(s walk) walk { return s },
-		MatchAny: func(spec walk, originals []walk) bool { return true },
-	}
-	_ = ops
-}`)
-	want(t, ds, "fingerprint", "MatchAny without Fingerprint", "deep comparison")
-}
-
-func TestFingerprintStateOpsWithDigestPasses(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	ops := core.StateOps[walk]{
-		Clone:       func(s walk) walk { return s },
-		MatchAny:    func(spec walk, originals []walk) bool { return true },
-		Fingerprint: func(s walk) uint64 { return uint64(s.n) },
-	}
-	nilMatch := core.StateOps[walk]{Clone: func(s walk) walk { return s }, MatchAny: nil}
-	_, _ = ops, nilMatch
-}`)
-	wantNone(t, ds, "fingerprint")
-}
-
-func TestFingerprintSetStateOps(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	sd := stats.NewStateDependence(inputs, initial, compute)
-	sd.SetStateOps(clone, match)
-}`)
-	want(t, ds, "fingerprint", "sd.SetStateOps", "SetFingerprint")
-}
-
-func TestFingerprintSetStateOpsCoveredPasses(t *testing.T) {
-	ds := analyzeSrc(t, `package p
-func f() {
-	sd := stats.NewStateDependence(inputs, initial, compute)
-	sd.SetStateOps(clone, match)
-	sd.SetFingerprint(func(s walk) uint64 { return uint64(s.n) })
-}
-func g() {
-	sd := stats.NewStateDependence(inputs, initial, compute)
-	sd.SetStateOps(clone, nil) // by-construction acceptance: no digest to take
-}`)
-	wantNone(t, ds, "fingerprint")
-}

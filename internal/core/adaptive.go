@@ -100,13 +100,12 @@ func (d *Dependence[I, S, O]) RunAdaptive(inputs []I, initial S, opts AdaptiveOp
 	return outs, state, ast
 }
 
-// accumulate folds one run's statistics into the aggregate (Inputs is set
-// by the caller; Groups and the counters add).
+// accumulate folds one run's statistics into the aggregate: Inputs is set
+// by the caller, QueueDepthPeak keeps the maximum, Panics concatenate, and
+// every other field adds.
 func accumulate(agg *Stats, st Stats) {
 	agg.Groups += st.Groups
 	agg.Matches += st.Matches
-	agg.FingerprintHits += st.FingerprintHits
-	agg.FingerprintMisses += st.FingerprintMisses
 	agg.Redos += st.Redos
 	agg.Aborts += st.Aborts
 	agg.SpeculativeCommits += st.SpeculativeCommits
@@ -120,6 +119,11 @@ func accumulate(agg *Stats, st Stats) {
 	agg.Panics = append(agg.Panics, st.Panics...)
 	agg.TimedOutGroups += st.TimedOutGroups
 	agg.BreakerDenied += st.BreakerDenied
+	agg.Rounds += st.Rounds
+	agg.ReservationConflicts += st.ReservationConflicts
+	agg.FootprintViolations += st.FootprintViolations
+	agg.LaneCPUCommittedNS += st.LaneCPUCommittedNS
+	agg.LaneCPUWastedNS += st.LaneCPUWastedNS
 	agg.Steals += st.Steals
 	agg.LocalHits += st.LocalHits
 	if st.QueueDepthPeak > agg.QueueDepthPeak {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -183,5 +184,46 @@ func TestAdaptiveBeatsFixedOnRegimeChange(t *testing.T) {
 	_, _, astAd := dAd.RunAdaptive(inputs, walkState{}, oAd)
 	if astAd.SpeculativeCommits <= stFixed.SpeculativeCommits {
 		t.Fatalf("adaptive commits %d <= fixed %d", astAd.SpeculativeCommits, stFixed.SpeculativeCommits)
+	}
+}
+
+// TestAccumulateCoversEveryField fills every numeric Stats field with a
+// distinct non-zero value and folds it in twice: each summed field must
+// double, so a field added to Stats but forgotten in accumulate fails
+// here. Inputs is the caller's to set (stays zero) and QueueDepthPeak
+// keeps the maximum; Panics concatenate.
+func TestAccumulateCoversEveryField(t *testing.T) {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		}
+	}
+	st.Panics = []*PanicError{{Value: "boom"}}
+	var agg Stats
+	accumulate(&agg, st)
+	accumulate(&agg, st)
+	a := reflect.ValueOf(agg)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		f := v.Field(i)
+		if f.Kind() != reflect.Int && f.Kind() != reflect.Int64 {
+			continue
+		}
+		want := 2 * f.Int()
+		switch name {
+		case "Inputs":
+			want = 0
+		case "QueueDepthPeak":
+			want = f.Int()
+		}
+		if got := a.Field(i).Int(); got != want {
+			t.Errorf("accumulate: %s = %d, want %d", name, got, want)
+		}
+	}
+	if len(agg.Panics) != 2 {
+		t.Errorf("accumulate: %d panics, want 2", len(agg.Panics))
 	}
 }

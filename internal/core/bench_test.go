@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/pool"
@@ -203,16 +202,6 @@ func BenchmarkRNGNorm(b *testing.B) {
 	}
 }
 
-// fingerprintWalkOps is walkOps plus the hash-first prefilter: the walk
-// benchmarks' compute is noise-free, so an accepted speculative state is
-// bit-equal to an original and the value's bits are a contract-clean
-// digest.
-func fingerprintWalkOps() StateOps[walkState] {
-	ops := walkOps()
-	ops.Fingerprint = func(s walkState) uint64 { return math.Float64bits(s.V) }
-	return ops
-}
-
 // BenchmarkEngineWarmRun is the allocation-gate shape: a reused
 // Dependence on a shared pool — the warm path where every run-scoped
 // buffer (group records, lane sources, originals, output staging) comes
@@ -225,7 +214,7 @@ func BenchmarkEngineWarmRun(b *testing.B) {
 	b.Run("aux", func(b *testing.B) {
 		p := pool.New(4)
 		defer p.Close()
-		d := New(cheapCompute, sumAux, fingerprintWalkOps())
+		d := New(cheapCompute, sumAux, walkOps())
 		opts := base
 		opts.Pool = p
 		d.Run(inputs, walkState{}, opts) // prime the recycled scratch
@@ -275,7 +264,7 @@ func BenchmarkEngineColdRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := New(cheapCompute, sumAux, fingerprintWalkOps())
+		d := New(cheapCompute, sumAux, walkOps())
 		o := opts
 		o.Seed = uint64(i)
 		d.Run(inputs, walkState{}, o)
@@ -291,7 +280,7 @@ func BenchmarkEngineGrouping(b *testing.B) {
 	inputs := benchInputs(1024)
 	p := pool.New(4)
 	defer p.Close()
-	d := New(cheapCompute, sumAux, fingerprintWalkOps())
+	d := New(cheapCompute, sumAux, walkOps())
 	opts := Options{UseAux: true, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Pool: p}
 	d.Run(inputs, walkState{}, opts)
 	b.ReportAllocs()
@@ -301,35 +290,4 @@ func BenchmarkEngineGrouping(b *testing.B) {
 		o.Seed = uint64(i)
 		d.Run(inputs, walkState{}, o)
 	}
-}
-
-// BenchmarkMatchAnyFingerprint prices one acceptance attempt on the
-// hash-first path: a fingerprint hit falls through to the deep MatchAny
-// scan, a miss rejects on the prefilter probe alone. Both must be
-// allocation-free — they run inside every boundary validation.
-func BenchmarkMatchAnyFingerprint(b *testing.B) {
-	d := New(cheapCompute, nil, fingerprintWalkOps())
-	originals := make([]walkState, 8)
-	origFPs := make([]uint64, 8)
-	for i := range originals {
-		originals[i] = walkState{V: float64(i)}
-		origFPs[i] = math.Float64bits(originals[i].V)
-	}
-	var st Stats
-	b.Run("hit", func(b *testing.B) {
-		spec := walkState{V: 7}
-		fp := math.Float64bits(spec.V)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d.acceptAttempt(spec, fp, true, originals, origFPs, &st, nil)
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		spec := walkState{V: 99.5}
-		fp := math.Float64bits(spec.V)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d.acceptAttempt(spec, fp, true, originals, origFPs, &st, nil)
-		}
-	})
 }

@@ -52,21 +52,9 @@ type Aux[I, S any] func(r *rng.Source, init S, recent []I) S
 //
 // MatchAny must not retain the originals slice: the engine recycles its
 // backing storage across boundaries and runs.
-//
-// Fingerprint, when non-nil alongside MatchAny, is a cheap acceptance
-// prefilter: the engine hashes the speculative state and every original
-// once and calls MatchAny only when some original's fingerprint equals the
-// speculative state's. The contract is one-sided: Fingerprint(a) ==
-// Fingerprint(b) must hold whenever MatchAny would accept a against {b} —
-// hash only what acceptance can never distinguish (structure, counts,
-// quantized values outside the tolerance). Collisions fall through to the
-// deep compare, so a wrong fingerprint costs redos and aborts (time),
-// never correctness. Ignored when MatchAny is nil (acceptance by
-// construction needs no prefilter).
 type StateOps[S any] struct {
-	Clone       func(S) S
-	MatchAny    func(spec S, originals []S) bool
-	Fingerprint func(S) uint64
+	Clone    func(S) S
+	MatchAny func(spec S, originals []S) bool
 }
 
 // Options configures one run of the engine. All values correspond to state
@@ -157,13 +145,6 @@ type Stats struct {
 	Groups  int // groups formed (1 means sequential)
 	Matches int // speculative states accepted
 	Redos   int // original-producer re-executions performed
-	// FingerprintHits and FingerprintMisses count hash-first acceptance
-	// attempts (boundary validations and redo re-checks) whose
-	// fingerprint prefilter passed through to MatchAny vs rejected
-	// without a deep compare. Both stay 0 unless the dependence defines
-	// both Fingerprint and MatchAny.
-	FingerprintHits   int
-	FingerprintMisses int
 	// Aborts counts boundary resolutions that aborted speculation:
 	// exhausted redo budgets, contained panics and group deadlines (the
 	// latter two also counted in PanickedGroups/TimedOutGroups).
@@ -275,12 +256,6 @@ func New[I, S, O any](compute Compute[I, S, O], aux Aux[I, S], ops StateOps[S]) 
 		panic("core: nil state clone")
 	}
 	return &Dependence[I, S, O]{compute: compute, aux: aux, ops: ops}
-}
-
-// hashFirst reports whether the dependence validates hash-first: both a
-// deep acceptance method and a fingerprint prefilter are defined.
-func (d *Dependence[I, S, O]) hashFirst() bool {
-	return d.ops.MatchAny != nil && d.ops.Fingerprint != nil
 }
 
 // Run processes inputs starting from initial, returning the outputs in input
@@ -481,10 +456,12 @@ type groupRun[I, S, O any] struct {
 	failArg  int64
 	panicErr *PanicError
 
-	// execNS is the group execution's wall-clock lane time, written by
-	// the lane before done.Done() and read by the coordinator after
+	// execNS is the group execution's wall-clock lane time and
+	// checkpointNS the part of it spent before the checkpoint, written
+	// by the lane before done.Done() and read by the coordinator after
 	// done.Wait() for wasted-work attribution.
-	execNS int64
+	execNS       int64
+	checkpointNS int64
 
 	// outBuf, redoBuf and spliceBuf back the group's execution outputs,
 	// its re-execution outputs, and the spliced committed outputs.
@@ -494,18 +471,17 @@ type groupRun[I, S, O any] struct {
 }
 
 // runScratch is the recycled working set of one runSpeculative call:
-// group records, the per-group timing/committed arrays, the originals
-// set (plus its fingerprints), and the pool tasks with their closures.
-// A Dependence keeps scratches in a sync.Pool, so a warm Run allocates
-// only what it must return (the outputs slice) plus whatever user code
-// allocates. Task closures are created once per group slot and index
-// into the scratch, which is why they survive recycling: each run
-// rebinds the fields the closures read.
+// the run environment, group records, the per-group timing/committed
+// arrays, the originals set, and the pool tasks with their closures. A
+// Dependence keeps scratches in a sync.Pool, so a warm Run allocates only
+// what it must return (the outputs slice) plus whatever user code
+// allocates. Task closures are created once per group slot and index into
+// the scratch, which is why they survive recycling: each run rebinds the
+// fields the closures read.
 type runScratch[I, S, O any] struct {
+	runEnv
 	d      *Dependence[I, S, O]
 	inputs []I
-	o      *obs.Observer
-	ctl    sched.Controller
 
 	rollback  int
 	timeout   time.Duration
@@ -520,7 +496,6 @@ type runScratch[I, S, O any] struct {
 
 	committed []execution[S, O]
 	originals []S
-	origFPs   []uint64
 
 	wg          sync.WaitGroup
 	invocations atomic.Int64
@@ -538,10 +513,9 @@ func (d *Dependence[I, S, O]) getScratch() *runScratch[I, S, O] {
 // It does not arm the done latches — that happens at launch, so a panic
 // on the coordinator between begin and launch (an uncontained group-0
 // clone) cannot leave a latch armed for the next run.
-func (scr *runScratch[I, S, O]) begin(inputs []I, numGroups int, opts *Options, o *obs.Observer) {
+func (scr *runScratch[I, S, O]) begin(inputs []I, numGroups int, opts *Options, st *Stats) {
+	scr.bind(st, opts)
 	scr.inputs = inputs
-	scr.o = o
-	scr.ctl = opts.Sched
 	scr.rollback = opts.Rollback
 	scr.timeout = opts.GroupTimeout
 	scr.numGroups = numGroups
@@ -556,7 +530,6 @@ func (scr *runScratch[I, S, O]) begin(inputs []I, numGroups int, opts *Options, 
 	scr.wasteNS = cleared(scr.wasteNS, numGroups)
 	scr.committed = cleared(scr.committed, numGroups)
 	scr.originals = scr.originals[:0]
-	scr.origFPs = scr.origFPs[:0]
 }
 
 // release clears every state-holding reference so the parked scratch
@@ -577,8 +550,7 @@ func (scr *runScratch[I, S, O]) release() {
 	clear(scr.committed[:scr.numGroups])
 	clear(scr.originals[:cap(scr.originals)])
 	scr.inputs = nil
-	scr.o = nil
-	scr.ctl = nil
+	scr.runEnv = runEnv{}
 	scr.d.scratch.Put(scr)
 }
 
@@ -598,16 +570,32 @@ func (scr *runScratch[I, S, O]) groupTask(j int) {
 	// its successors; their results would be discarded anyway once the
 	// boundary inspection aborts here. Earlier groups are left running;
 	// their results are still committable.
-	defer func() {
-		if rec := recover(); rec != nil {
-			gr.failure = failPanic
-			gr.panicErr = &PanicError{Value: rec, Stack: debug.Stack()}
-			for _, g := range scr.groups[j:scr.numGroups] {
-				g.aborted.Store(true)
-			}
+	if pe := contain(func() {
+		scr.d.executeGroup(scr.inputs, gr, scr.rollback, scr.timeout, &scr.invocations, scr.o)
+	}); pe != nil {
+		gr.failure, gr.panicErr = failPanic, pe
+		for _, g := range scr.groups[j:scr.numGroups] {
+			g.aborted.Store(true)
 		}
-	}()
-	scr.d.executeGroup(scr.inputs, gr, scr.rollback, scr.timeout, &scr.invocations, scr.o)
+	}
+}
+
+// finishLaneCPU resolves the lane-time attribution once the outcome is
+// known: groups before abortAt (all of them when abortAt < 0) committed
+// their exec+aux lane time, groups at or past it wasted theirs; redo,
+// splice and fallback time was already filed into commitNS/wasteNS at the
+// boundary that spent it. Every read of execNS is ordered after the
+// lane's write by the done latch or wg.Wait.
+func (scr *runScratch[I, S, O]) finishLaneCPU(abortAt int) {
+	for j, gr := range scr.groups[:scr.numGroups] {
+		spent := gr.execNS + scr.auxNS[j]
+		if abortAt >= 0 && j >= abortAt {
+			scr.wasteNS[j] += spent
+		} else {
+			scr.commitNS[j] += spent
+		}
+		scr.fileLaneCPU(j, scr.commitNS[j], scr.wasteNS[j])
+	}
 }
 
 // cleared returns s resized to length n with every element zeroed,
@@ -630,22 +618,12 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	n := len(inputs)
 	numGroups := (n + g - 1) / g
 	st.Groups = numGroups
-
-	window := opts.Window
-	if window < 0 {
-		window = 0
-	}
-	redoMax := opts.RedoMax
-	if redoMax < 0 {
-		redoMax = 0
-	}
-
-	ctl := opts.Sched
-	coordLane := opts.SchedLane
+	window := max(opts.Window, 0)
+	redoMax := max(opts.RedoMax, 0)
 
 	o := opts.Obs
 	scr := d.getScratch()
-	scr.begin(inputs, numGroups, &opts, o)
+	scr.begin(inputs, numGroups, &opts, st)
 	defer scr.release()
 	groups := scr.groups[:numGroups]
 
@@ -653,17 +631,16 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	// reproducible regardless of scheduling: per-group spec stream,
 	// execution stream, and redo stream, split into the recycled records
 	// in the same order a cold run would Split them.
-	for j := 0; j < numGroups; j++ {
-		gr := groups[j]
+	for j, gr := range groups {
 		gr.idx = j
 		gr.start, gr.end = j*g, min(n, (j+1)*g)
-		gr.ctl, gr.lane = ctl, coordLane+1+j
+		gr.ctl, gr.lane = opts.Sched, opts.SchedLane+1+j
 		root.SplitInto(&gr.specSrc)
 		root.SplitInto(&gr.execSrc)
 		root.SplitInto(&gr.redoSrc)
 		gr.aborted.Store(false)
 		gr.failure, gr.failArg, gr.panicErr = failNone, 0, nil
-		gr.execNS = 0
+		gr.execNS, gr.checkpointNS = 0, 0
 		gr.checkpointAt = 0
 	}
 
@@ -671,101 +648,52 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	// group j>0 from aux(S0, last `window` inputs before the group). A
 	// panic in the auxiliary code (or the state clone feeding it) marks
 	// the group failed before launch: its lane bails immediately and the
-	// boundary inspection below turns the failure into an abort.
+	// boundary inspection below turns the failure into an abort. auxNS,
+	// commitNS and wasteNS feed the wasted-work attribution: per-group
+	// lane nanoseconds, resolved into committed vs discarded when the
+	// run's outcome is known (finishLaneCPU).
 	groups[0].specStart = d.ops.Clone(initial)
-	// auxNS, commitNS and wasteNS feed the wasted-work attribution:
-	// per-group lane nanoseconds, resolved into committed vs discarded
-	// when the run's outcome is known (finishLaneCPU below).
-	auxNS := scr.auxNS
-	commitNS := scr.commitNS
-	wasteNS := scr.wasteNS
-	for j := 1; j < numGroups; j++ {
-		lo := groups[j].start - window
-		if lo < 0 {
-			lo = 0
-		}
-		recent := inputs[lo:groups[j].start]
+	commitNS, wasteNS := scr.commitNS, scr.wasteNS
+	for _, gr := range groups[1:] {
+		recent := inputs[max(gr.start-window, 0):gr.start]
 		st.AuxCalls++
 		st.AuxInputs += len(recent)
-		if ctl != nil {
-			ctl.Yield(sched.PointAux, coordLane)
-		}
+		scr.yield(sched.PointAux)
 		auxStart := time.Now()
-		spec, ok, pe := d.safeAux(&groups[j].specSrc, initial, recent)
-		auxNS[j] = time.Since(auxStart).Nanoseconds()
-		if !ok {
-			groups[j].failure = failPanic
-			groups[j].panicErr = pe
-			groups[j].aborted.Store(true)
+		pe := contain(func() { gr.specStart = d.aux(&gr.specSrc, d.ops.Clone(initial), recent) })
+		scr.auxNS[gr.idx] = time.Since(auxStart).Nanoseconds()
+		if pe != nil {
+			gr.failure, gr.panicErr = failPanic, pe
+			gr.aborted.Store(true)
 			continue
 		}
-		groups[j].specStart = spec
 		if o != nil {
 			o.AuxProduced.Inc()
-			o.Tracer.Emit(j, obs.EvAuxProduced, int32(j), int64(len(recent)))
+			o.Tracer.Emit(gr.idx, obs.EvAuxProduced, int32(gr.idx), int64(len(recent)))
 		}
 	}
 
 	// Launch every group; each runs its inputs sequentially from its
 	// (speculative) start state, checkpointing before its last W inputs.
-	p := opts.Pool
-	if p == nil {
-		p = newRunPool(opts)
-		// A private pool reports its scheduler events to this run's
-		// observer; a shared pool's observer (and controller) is owned by
-		// whoever built the pool (stats.Runtime) and is left untouched.
-		p.SetObserver(o)
-		// Close waits for the workers, and a worker may be parked at one
-		// of its decision points — the coordinator must release its
-		// schedule token or neither side can advance.
-		defer func() {
-			if ctl != nil {
-				ctl.Block(coordLane)
-			}
-			p.Close()
-			if ctl != nil {
-				ctl.Unblock(coordLane)
-			}
-		}()
-	}
-	poolBase := p.Metrics() // baseline for this run's scheduler deltas
+	scr.openPool(&opts)
+	defer scr.closePool()
 	// The task bodies (groupTask) and their closures live in the scratch;
 	// arm the latches only now, so nothing between begin and launch can
 	// strand an armed latch into the next run.
-	tasks := scr.tasks[:numGroups]
-	for j := 0; j < numGroups; j++ {
+	for _, gr := range groups {
 		scr.wg.Add(1)
-		groups[j].done.Add(1)
+		gr.done.Add(1)
 	}
-	// Fan the whole group set out in one batch operation; a closed pool
-	// leaves a suffix unqueued, which runs inline on the coordinator. Both
-	// can block for real (saturated pool; inline group execution yields on
-	// the groups' own lanes), so the coordinator steps out of the schedule
-	// around them.
-	if ctl != nil {
-		ctl.Block(coordLane)
-	}
-	nq, err := p.SubmitBatch(tasks)
-	if err != nil {
-		for _, task := range tasks[nq:] {
-			task()
-		}
-	}
-	if ctl != nil {
-		ctl.Unblock(coordLane)
-	}
+	scr.dispatch(scr.tasks[:numGroups], nil)
 
 	// Validate in input order. Group 0 is never speculative. For each
-	// subsequent group, first check the group's own execution survived
-	// (no contained panic, no deadline squash), then gather originals
+	// group, first check the group's own execution survived (no contained
+	// panic, no deadline squash); then, past group 0, gather originals
 	// from the previous group (first execution plus up to redoMax
 	// re-executions) and ask the developer's acceptance method whether
-	// the speculative start state matches.
-	outs := make([]O, 0, n)
-	// committed holds, per validated group, the execution whose outputs
-	// are committed.
+	// the speculative start state matches. committed holds, per validated
+	// group, the execution whose outputs are committed.
 	committed := scr.committed
-
 	abortAt := -1 // first group index whose speculation failed
 	// abort squashes groups j.. and records the boundary outcome. The
 	// squash yield comes AFTER the abort flags are set (a post-write
@@ -774,182 +702,89 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	// to completion first — the validate/squash race the exploration
 	// harness targets.
 	abort := func(j, redosUsed int) {
-		st.Aborts++
-		if o != nil {
-			o.Aborts.Inc()
-			o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, int32(j), int64(redosUsed))
-		}
 		abortAt = j
-		for k := j; k < numGroups; k++ {
-			groups[k].aborted.Store(true)
-			if o != nil {
-				o.Squashes.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(k), int64(groups[k].end-groups[k].start))
-			}
+		scr.recordAbort(j, redosUsed)
+		for _, gr := range groups[j:] {
+			gr.aborted.Store(true)
+			scr.recordSquash(gr.idx, gr.end-gr.start)
 		}
-		if ctl != nil {
-			ctl.Yield(sched.PointSquash, coordLane)
-		}
+		scr.yield(sched.PointSquash)
 	}
 
-	// finishLaneCPU resolves the attribution once the outcome is known:
-	// groups before the abort point (all of them when speculation
-	// succeeded) committed their exec+aux lane time, groups at or past it
-	// wasted theirs; redo and fallback time was already filed into
-	// commitNS/wasteNS at the boundary that spent it. Every read of
-	// groups[j].execNS is ordered after the lane's write by <-done or
-	// wg.Wait. Stats always carries the split; the observer counters and
-	// per-group attribution events ride behind the usual nil check.
-	finishLaneCPU := func() {
-		for j := 0; j < numGroups; j++ {
-			spent := groups[j].execNS + auxNS[j]
-			if abortAt >= 0 && j >= abortAt {
-				wasteNS[j] += spent
-			} else {
-				commitNS[j] += spent
-			}
-			if commitNS[j] > 0 {
-				st.LaneCPUCommittedNS += commitNS[j]
-				if o != nil {
-					o.LaneCPUCommitted.Add(commitNS[j])
-					o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), commitNS[j])
-				}
-			}
-			if wasteNS[j] > 0 {
-				st.LaneCPUWastedNS += wasteNS[j]
-				if o != nil {
-					o.LaneCPUWasted.Add(wasteNS[j])
-					o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wasteNS[j])
-				}
-			}
-		}
-	}
-
-	first := groups[0]
-	if ctl != nil {
-		ctl.Block(coordLane)
-	}
-	first.done.Wait()
-	if ctl != nil {
-		ctl.Unblock(coordLane)
-	}
-	if first.failure != failNone {
-		// Group 0 ran from the true initial state but its lane failed;
-		// nothing is committed and the whole vector falls back.
-		abort(0, 0)
-	} else {
-		committed[0] = first.base
-	}
-
-	hashFirst := d.hashFirst()
-	for j := 1; j < numGroups && abortAt < 0; j++ {
-		prev := groups[j-1]
+	for j := 0; j < numGroups && abortAt < 0; j++ {
 		cur := groups[j]
-		if ctl != nil {
-			ctl.Block(coordLane)
-		}
-		cur.done.Wait()
-		if ctl != nil {
-			ctl.Unblock(coordLane)
-		}
-
+		scr.wait(&cur.done)
 		if cur.failure != failNone {
 			// The group's own results are unusable (contained panic or
 			// deadline): squash it like a mismatch with no redo budget.
+			// Group 0 ran from the true initial state, so its failure
+			// leaves nothing committed and the whole vector falls back.
 			abort(j, 0)
 			break
 		}
+		if j == 0 {
+			committed[0] = cur.base
+			continue
+		}
+		prev := groups[j-1]
 
 		// The previous group's final state depends on which of its
 		// executions was committed; re-executions below replace only
 		// the suffix after the checkpoint, so the originals set always
-		// extends the committed prefix. The originals (and, hash-first,
-		// their fingerprints) accumulate in recycled scratch storage.
+		// extends the committed prefix. The originals accumulate in
+		// recycled scratch storage.
 		var vstart time.Time
 		if o != nil {
 			vstart = time.Now()
 		}
-		if ctl != nil {
-			ctl.Yield(sched.PointValidate, coordLane)
-		}
-		var specFP uint64
-		if hashFirst {
-			fp, ok, pe := d.safeFingerprint(cur.specStart)
-			if !ok {
-				cur.failure, cur.panicErr = failPanic, pe
-				abort(j, 0)
-				break
-			}
-			specFP = fp
-		}
-		originals, ok, pe := scr.resetOriginals(committed[j-1].final, hashFirst)
-		if !ok {
-			cur.failure, cur.panicErr = failPanic, pe
-			abort(j, 0)
-			break
-		}
-		matched, ok, pe := d.acceptAttempt(cur.specStart, specFP, hashFirst, originals, scr.origFPs, st, o)
-		if !ok {
-			cur.failure, cur.panicErr = failPanic, pe
-			abort(j, 0)
-			break
-		}
+		scr.yield(sched.PointValidate)
+		originals := append(scr.originals[:0], committed[j-1].final)
+		matched, pe := d.matchAny(cur.specStart, originals)
 		acceptedExec := committed[j-1]
-		if o != nil && !matched {
+		if o != nil && pe == nil && !matched {
 			o.Mismatches.Inc()
 			o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMismatch, int32(j), 0)
 		}
 
+		// Redo lane time burned at this boundary is wasted work on the
+		// producing group, except an accepted re-execution's: it produced
+		// committed outputs, and the first execution's post-checkpoint
+		// suffix it replaced is the waste instead.
 		redosUsed := 0
-		panicked := false
-		var panicErr *PanicError
-		var redoNS, acceptedRedoNS int64
-		for t := 0; !matched && t < redoMax; t++ {
+		for t := 0; pe == nil && !matched && t < redoMax; t++ {
 			if o != nil {
 				o.Redos.Inc()
 				o.Tracer.Emit(obs.LaneCoord, obs.EvRedo, int32(j), int64(t+1))
 			}
-			if ctl != nil {
-				ctl.Yield(sched.PointRedo, coordLane)
-			}
+			scr.yield(sched.PointRedo)
 			redoStart := time.Now()
-			redo, rok, rpe := d.safeRedoGroup(prev, inputs, &scr.invocations)
-			thisRedoNS := time.Since(redoStart).Nanoseconds()
-			redoNS += thisRedoNS
-			if !rok {
-				// The re-execution (prev's compute or clone) panicked:
-				// the boundary cannot resolve, so the unvalidated
-				// group is squashed and the panic attributed to it.
-				panicked, panicErr = true, rpe
+			var redo execution[S, O]
+			// A panicking re-execution (prev's compute or clone) leaves
+			// the boundary unresolvable, so the unvalidated group is
+			// squashed and the panic attributed to it.
+			pe = contain(func() { redo = d.redoGroup(prev, inputs, &scr.invocations) })
+			redoNS := time.Since(redoStart).Nanoseconds()
+			if pe != nil {
+				wasteNS[j-1] += redoNS
 				break
 			}
 			st.Redos++
 			redosUsed++
-			originals, ok, pe = scr.appendOriginal(redo.final, hashFirst)
-			if !ok {
-				panicked, panicErr = true, pe
-				break
+			originals = append(originals, redo.final)
+			if matched, pe = d.matchAny(cur.specStart, originals); !matched {
+				wasteNS[j-1] += redoNS
+				continue
 			}
-			m, mok, mpe := d.acceptAttempt(cur.specStart, specFP, hashFirst, originals, scr.origFPs, st, o)
-			if !mok {
-				panicked, panicErr = true, mpe
-				break
-			}
-			if m {
-				matched = true
-				acceptedRedoNS = thisRedoNS
-				// Commit the matching re-execution's suffix in
-				// place of the first execution's.
-				acceptedExec = spliceExecution(committed[j-1], redo, prev)
-			}
+			// Commit the matching re-execution's suffix in place of the
+			// first execution's.
+			acceptedExec = spliceExecution(committed[j-1], redo, prev)
+			spliced := prev.execNS - prev.checkpointNS
+			commitNS[j-1] += redoNS - spliced
+			wasteNS[j-1] += spliced
 		}
-		// Redo lane time burned at this boundary: the accepted
-		// re-execution (if any) produced committed outputs, every other
-		// redo is wasted work on the producing group.
-		commitNS[j-1] += acceptedRedoNS
-		wasteNS[j-1] += redoNS - acceptedRedoNS
-		if panicked {
-			cur.failure, cur.panicErr = failPanic, panicErr
+		scr.originals = originals
+		if pe != nil {
+			cur.failure, cur.panicErr = failPanic, pe
 			abort(j, redosUsed)
 			break
 		}
@@ -959,114 +794,73 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 			if o != nil {
 				o.Matches.Inc()
 				o.Tracer.Emit(obs.LaneCoord, obs.EvValidateMatch, int32(j), int64(redosUsed))
-				o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
-				o.RedosPerValidation.Observe(int64(redosUsed))
 			}
-			committed[j-1] = acceptedExec
-			committed[j] = cur.base
-			emitExec(emit, committed[j-1], groups[j-1].start)
-			continue
+		} else {
+			// Speculation failed: abort this and all subsequent groups.
+			abort(j, redosUsed)
 		}
-
-		// Speculation failed: abort this and all subsequent groups.
-		abort(j, redosUsed)
 		if o != nil {
 			o.ValidationLatencyNS.Observe(time.Since(vstart).Nanoseconds())
 			o.RedosPerValidation.Observe(int64(redosUsed))
 		}
-		break
+		if !matched {
+			break
+		}
+		committed[j-1] = acceptedExec
+		committed[j] = cur.base
+		emitExec(emit, committed[j-1], prev.start)
 	}
 
-	if abortAt < 0 {
-		// Every group validated; commit in order.
-		if ctl != nil {
-			ctl.Block(coordLane)
-		}
-		scr.wg.Wait()
-		if ctl != nil {
-			ctl.Unblock(coordLane)
-		}
-		for j := 0; j < numGroups; j++ {
-			outs = append(outs, committed[j].outputs...)
-			if j > 0 {
-				st.SpeculativeCommits += groups[j].end - groups[j].start
-				if o != nil {
-					o.SpecCommittedInputs.Add(int64(groups[j].end - groups[j].start))
-				}
+	// Wait out in-flight groups (after an abort they bail early on the
+	// aborted flag) and commit the validated prefix in order.
+	scr.wait(&scr.wg)
+	commitEnd := numGroups
+	if abortAt >= 0 {
+		commitEnd = abortAt
+	}
+	outs := make([]O, 0, n)
+	for j, gr := range groups[:commitEnd] {
+		outs = append(outs, committed[j].outputs...)
+		if j > 0 {
+			st.SpeculativeCommits += gr.end - gr.start
+			if o != nil {
+				o.SpecCommittedInputs.Add(int64(gr.end - gr.start))
 			}
 		}
+	}
+	st.Invocations += scr.invocations.Load()
+	if abortAt < 0 {
 		emitExec(emit, committed[numGroups-1], groups[numGroups-1].start)
-		st.Invocations += scr.invocations.Load()
 		st.UsefulInvocations += int64(n) // one committed invocation per input
-		finishLaneCPU()
-		captureScheduler(st, p, poolBase)
+		scr.finishLaneCPU(abortAt)
+		scr.captureScheduler()
 		return outs, committed[numGroups-1].final, *st
 	}
 
-	// Abort path: wait out in-flight groups (they bail early on the
-	// aborted flag), squash their outputs, and reprocess the remaining
-	// inputs sequentially from the first original final state of the
-	// last valid group (the uncloned initial state when group 0 itself
-	// failed). Per §3.1, "no other speculation is performed until all
-	// the current inputs are processed."
-	if ctl != nil {
-		ctl.Block(coordLane)
-	}
-	scr.wg.Wait()
-	if ctl != nil {
-		ctl.Unblock(coordLane)
-	}
-	// Failure sweep: every lane is done, so the flags are final. Count
-	// and trace each contained panic and deadline squash — groups past
-	// the abort point may have failed concurrently before the squash
-	// reached them, and those panics were contained too. The panic's
-	// value and stack ride out of the run in Stats.Panics (the EvPanic
-	// event's fixed-size argument stays the input count).
+	// Abort path: squash the in-flight outputs and reprocess the
+	// remaining inputs sequentially from the first original final state
+	// of the last valid group (the uncloned initial state when group 0
+	// itself failed). Per §3.1, "no other speculation is performed until
+	// all the current inputs are processed." Every lane is done, so the
+	// failure flags are final: count and trace each contained panic and
+	// deadline squash — groups past the abort point may have failed
+	// concurrently before the squash reached them, and those panics were
+	// contained too. The panic's value and stack ride out of the run in
+	// Stats.Panics (the EvPanic event's fixed-size argument stays the
+	// input count).
 	for _, gr := range groups {
-		switch gr.failure {
-		case failPanic:
-			st.PanickedGroups++
-			if gr.panicErr != nil {
-				st.Panics = append(st.Panics, gr.panicErr)
-			}
-			if o != nil {
-				o.PanickedGroups.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, int32(gr.idx), int64(gr.end-gr.start))
-			}
-		case failTimeout:
-			st.TimedOutGroups++
-			if o != nil {
-				o.GroupTimeouts.Inc()
-				o.Tracer.Emit(obs.LaneCoord, obs.EvGroupTimeout, int32(gr.idx), gr.failArg)
-			}
+		if gr.failure == failPanic && gr.panicErr != nil {
+			st.Panics = append(st.Panics, gr.panicErr)
 		}
-	}
-	for j := 0; j < abortAt; j++ {
-		outs = append(outs, committed[j].outputs...)
-		if j > 0 {
-			st.SpeculativeCommits += groups[j].end - groups[j].start
-			if o != nil {
-				o.SpecCommittedInputs.Add(int64(groups[j].end - groups[j].start))
-			}
-		}
+		scr.recordFailure(gr.failure, gr.idx, gr.end-gr.start, gr.failArg)
 	}
 	fallbackState := d.ops.Clone(initial)
 	if abortAt > 0 {
 		emitExec(emit, committed[abortAt-1], groups[abortAt-1].start)
 		fallbackState = committed[abortAt-1].final
 	}
-	st.SquashedInputs = n - groups[abortAt].start
-	st.Invocations += scr.invocations.Load()
-
 	fallbackStart := groups[abortAt].start
-	st.FallbackInputs = n - fallbackStart
-	if o != nil {
-		o.FallbackInputs.Add(int64(n - fallbackStart))
-		o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, int32(abortAt), int64(n-fallbackStart))
-	}
-	if ctl != nil {
-		ctl.Yield(sched.PointFallback, coordLane)
-	}
+	scr.enterFallback(abortAt, n-fallbackStart, n-fallbackStart)
 	fbStart := time.Now()
 	fbOuts, final := d.runSequential(root, inputs[fallbackStart:], fallbackState, st, emit, fallbackStart)
 	// The sequential fallback produced committed outputs; its time is
@@ -1074,136 +868,19 @@ func (d *Dependence[I, S, O]) runSpeculative(root *rng.Source, inputs []I, initi
 	commitNS[abortAt] += time.Since(fbStart).Nanoseconds()
 	outs = append(outs, fbOuts...)
 	st.UsefulInvocations += int64(fallbackStart)
-	finishLaneCPU()
-	captureScheduler(st, p, poolBase)
+	scr.finishLaneCPU(abortAt)
+	scr.captureScheduler()
 	return outs, final, *st
 }
 
-// safeAux runs the auxiliary code (including the initial-state clone that
-// feeds it) with panic containment, reporting whether it completed; on a
-// panic the recovered value and unwind stack come back in pe.
-func (d *Dependence[I, S, O]) safeAux(r *rng.Source, initial S, recent []I) (spec S, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok, pe = false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.aux(r, d.ops.Clone(initial), recent), true, nil
-}
-
-// safeMatchAny runs the developer's acceptance method with panic
-// containment, reporting whether it completed; on a panic the recovered
-// value and unwind stack come back in pe. A nil MatchAny accepts by
-// construction.
-func (d *Dependence[I, S, O]) safeMatchAny(spec S, originals []S) (matched, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			matched, ok, pe = false, false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
+// matchAny runs the developer's acceptance method with panic
+// containment. A nil MatchAny accepts by construction.
+func (d *Dependence[I, S, O]) matchAny(spec S, originals []S) (matched bool, pe *PanicError) {
 	if d.ops.MatchAny == nil {
-		return true, true, nil
+		return true, nil
 	}
-	return d.ops.MatchAny(spec, originals), true, nil
-}
-
-// safeFingerprint hashes a state with panic containment (Fingerprint is
-// user code, so it gets the same isolation MatchAny does).
-func (d *Dependence[I, S, O]) safeFingerprint(s S) (fp uint64, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok, pe = false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.ops.Fingerprint(s), true, nil
-}
-
-// acceptAttempt resolves one acceptance attempt. Hash-first dependences
-// consult the fingerprint prefilter: when no original's fingerprint
-// equals the speculative state's, MatchAny cannot accept (the contract
-// makes equal fingerprints a necessary condition), so the attempt is a
-// recorded miss with no deep compare; a hit falls through to MatchAny.
-func (d *Dependence[I, S, O]) acceptAttempt(spec S, specFP uint64, hashFirst bool, originals []S, origFPs []uint64, st *Stats, o *obs.Observer) (matched, ok bool, pe *PanicError) {
-	if hashFirst {
-		hit := false
-		for _, fp := range origFPs {
-			if fp == specFP {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			st.FingerprintMisses++
-			if o != nil {
-				o.FingerprintMisses.Inc()
-			}
-			return false, true, nil
-		}
-		st.FingerprintHits++
-		if o != nil {
-			o.FingerprintHits.Inc()
-		}
-	}
-	return d.safeMatchAny(spec, originals)
-}
-
-// resetOriginals starts a boundary's originals set (recycled storage)
-// with the committed previous final state, fingerprinting it when the
-// dependence validates hash-first.
-func (scr *runScratch[I, S, O]) resetOriginals(first S, hashFirst bool) ([]S, bool, *PanicError) {
-	scr.originals = scr.originals[:0]
-	scr.origFPs = scr.origFPs[:0]
-	return scr.appendOriginal(first, hashFirst)
-}
-
-// appendOriginal adds one original state (and, hash-first, its
-// fingerprint) to the boundary's set.
-func (scr *runScratch[I, S, O]) appendOriginal(s S, hashFirst bool) ([]S, bool, *PanicError) {
-	if hashFirst {
-		fp, ok, pe := scr.d.safeFingerprint(s)
-		if !ok {
-			return scr.originals, false, pe
-		}
-		scr.origFPs = append(scr.origFPs, fp)
-	}
-	scr.originals = append(scr.originals, s)
-	return scr.originals, true, nil
-}
-
-// safeRedoGroup runs one re-execution with panic containment, reporting
-// whether it completed; on a panic the recovered value and unwind stack
-// come back in pe.
-func (d *Dependence[I, S, O]) safeRedoGroup(gr *groupRun[I, S, O], inputs []I, invocations *atomic.Int64) (redo execution[S, O], ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok, pe = false, &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.redoGroup(gr, inputs, invocations), true, nil
-}
-
-// newRunPool builds the private worker pool for one run: Options.Workers
-// wide, worker PRNGs seeded from Options.Seed, and the run's controller
-// (if any) attached so pool-level decisions are explorable too.
-func newRunPool(opts Options) *pool.Pool {
-	w := opts.Workers
-	if w < 1 {
-		w = 1
-	}
-	p := pool.NewSeeded(w, opts.Seed)
-	if opts.Sched != nil {
-		p.SetController(opts.Sched)
-	}
-	return p
-}
-
-// captureScheduler fills the run's scheduler counters as deltas against the
-// pool-metrics baseline taken before the group fan-out.
-func captureScheduler(st *Stats, p *pool.Pool, before pool.Metrics) {
-	m := p.Metrics()
-	st.Steals = m.Steals - before.Steals
-	st.LocalHits = m.LocalHits - before.LocalHits
-	st.QueueDepthPeak = m.QueueDepthPeak
+	pe = contain(func() { matched = d.ops.MatchAny(spec, originals) })
+	return matched, pe
 }
 
 // emitExec streams one committed execution's outputs.
@@ -1269,25 +946,17 @@ func (d *Dependence[I, S, O]) executeGroup(inputs []I, gr *groupRun[I, S, O], ro
 			break
 		}
 		if deadlined {
-			expired := false
-			var elapsedNS int64
-			if ctl != nil {
-				expired = ctl.Choose(sched.PointTimeoutCheck, gr.lane, 2) == 1
-			} else if elapsed := time.Since(started); elapsed > timeout {
-				expired = true
-				elapsedNS = elapsed.Nanoseconds()
-			}
-			if expired {
-				// Deadline exceeded: squash exactly like a validation
-				// mismatch. Only this lane is marked; the coordinator's
-				// boundary inspection squashes the successors.
-				gr.failure = failTimeout
-				gr.failArg = elapsedNS
+			// Deadline exceeded: squash exactly like a validation
+			// mismatch. Only this lane is marked; the coordinator's
+			// boundary inspection squashes the successors.
+			if expired, elapsedNS := deadlineExpired(ctl, gr.lane, started, timeout); expired {
+				gr.failure, gr.failArg = failTimeout, elapsedNS
 				gr.aborted.Store(true)
 				break
 			}
 		}
 		if idx == checkpointAt {
+			gr.checkpointNS = time.Since(started).Nanoseconds()
 			gr.checkpoint = d.ops.Clone(s)
 		}
 		var o O
@@ -1338,11 +1007,4 @@ func spliceExecution[I, S, O any](base execution[S, O], redo execution[S, O], gr
 	outs = append(outs, redo.outputs...)
 	gr.spliceBuf = outs
 	return execution[S, O]{outputs: outs, final: redo.final}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -198,5 +199,33 @@ func TestObservabilityInvariantsRandomized(t *testing.T) {
 	if !sawAbort || !sawRedo || !sawMatch {
 		t.Fatalf("sample did not exercise all outcomes: abort=%v redo=%v match=%v",
 			sawAbort, sawRedo, sawMatch)
+	}
+}
+
+// TestSplicedExecutionIsWastedLaneCPU pins the lane-CPU identity for
+// accepted redos: the redo's outputs commit, so the first execution's
+// post-checkpoint suffix they replace was discarded work. A run in which
+// every boundary rejects the first execution and accepts its first redo
+// (no abort) must therefore report wasted lane CPU, in all three accounts.
+func TestSplicedExecutionIsWastedLaneCPU(t *testing.T) {
+	inputs := seqInputs(32)
+	compute := func(r *rng.Source, in int, s walkState) (int, walkState) {
+		time.Sleep(20 * time.Microsecond)
+		return deterministicCompute(r, in, s)
+	}
+	ops := walkOps()
+	ops.MatchAny = func(_ walkState, originals []walkState) bool { return len(originals) > 1 }
+	ob := obs.NewObserver(4, 4096)
+	d := New(compute, exactAuxFor(inputs), ops)
+	outs, _, st := d.Run(inputs, walkState{}, Options{
+		UseAux: true, GroupSize: 8, Window: 8, RedoMax: 1, Rollback: 4, Workers: 2, Seed: 1, Obs: ob,
+	})
+	checkOutputs(t, outs, wantOutputs(inputs))
+	if st.Aborts != 0 || st.Matches != st.Groups-1 || st.Redos != st.Groups-1 {
+		t.Fatalf("want every boundary to accept its first redo: %+v", st)
+	}
+	if st.LaneCPUWastedNS <= 0 || ob.LaneCPUWasted.Value() != st.LaneCPUWastedNS {
+		t.Fatalf("spliced-away executions not counted as wasted: stats %d ns, counter %d ns",
+			st.LaneCPUWastedNS, ob.LaneCPUWasted.Value())
 	}
 }

@@ -10,9 +10,8 @@ import (
 
 // Panic-fidelity regression tests: every contained user-code panic must
 // ride out of the run in Stats.Panics with its original value and a
-// stack that still names the panic origin. The safe* helpers used to
-// discard the recovered value; these tests pin the repaired behaviour
-// across every containment site in both protocols.
+// stack that still names the panic origin. These tests pin that across
+// every containment site in both protocols.
 
 // requirePanicRecord asserts some Stats.Panics entry carries the value
 // and a stack naming this file.
@@ -74,18 +73,6 @@ func TestPanicFidelityMatchAny(t *testing.T) {
 	})
 	checkOutputs(t, outs, wantOutputs(inputs))
 	requirePanicRecord(t, st.Panics, "match boom")
-}
-
-func TestPanicFidelityFingerprint(t *testing.T) {
-	inputs := seqInputs(12)
-	ops := walkOps()
-	ops.Fingerprint = func(walkState) uint64 { panic("fingerprint boom") }
-	d := New(deterministicCompute, exactAuxFor(inputs), ops)
-	outs, _, st := d.Run(inputs, walkState{}, Options{
-		UseAux: true, GroupSize: 3, Window: 12, Workers: 4, Seed: 4,
-	})
-	checkOutputs(t, outs, wantOutputs(inputs))
-	requirePanicRecord(t, st.Panics, "fingerprint boom")
 }
 
 func TestPanicFidelityReservationsCompute(t *testing.T) {

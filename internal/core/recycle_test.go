@@ -35,13 +35,13 @@ func TestWarmRunAllocations(t *testing.T) {
 	t.Run("aux", func(t *testing.T) {
 		var seed uint64
 		cold := testing.AllocsPerRun(50, func() {
-			d := New(cheapCompute, sumAux, fingerprintWalkOps())
+			d := New(cheapCompute, sumAux, walkOps())
 			o := base
 			o.Seed = seed
 			seed++
 			d.Run(inputs, walkState{}, o)
 		})
-		d := New(cheapCompute, sumAux, fingerprintWalkOps())
+		d := New(cheapCompute, sumAux, walkOps())
 		o := base
 		d.Run(inputs, walkState{}, o) // prime the recycled scratch
 		warm := testing.AllocsPerRun(50, func() {

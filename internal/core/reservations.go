@@ -25,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,22 +136,16 @@ func SplitReservationArg(arg int64) (round, input int) {
 // Only the outputs slice is allocated fresh — it is returned to the
 // caller.
 type resvRun[I, S, O any] struct {
+	runEnv
 	d      *Dependence[I, S, O]
 	inputs []I
 	// srcs are the pre-split per-input random sources (by value: every
 	// attempt copies, so squashed attempts never consume the stream).
 	srcs []rng.Source
 	opts Options
-	o    *obs.Observer
-	ctl  sched.Controller
-	// coordLane is the coordinator's schedule lane; wave chunk c yields
-	// on coordLane+1+c.
-	coordLane int
-	lanes     int
-	p         *pool.Pool
-	poolBase  pool.Metrics
-	emit      Emit[O]
-	st        *Stats
+	// lanes is the wave width; wave chunk c yields on coordLane+1+c.
+	lanes int
+	emit  Emit[O]
 
 	// table is the reservation table, one write-min cell per state slot,
 	// reset to the sentinel len(inputs) before each reserve wave.
@@ -224,13 +217,10 @@ func (d *Dependence[I, S, O]) getResvRun() *resvRun[I, S, O] {
 // reuse.
 func (r *resvRun[I, S, O]) release() {
 	var zeroS S
+	r.runEnv = runEnv{}
 	r.inputs = nil
 	r.opts = Options{}
-	r.o = nil
-	r.ctl = nil
-	r.p = nil
 	r.emit = nil
-	r.st = nil
 	r.shared = zeroS
 	r.outs = nil
 	clear(r.fps[:cap(r.fps)])
@@ -280,9 +270,8 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 		root.SplitInto(&r.srcs[i])
 	}
 
-	r.inputs, r.opts, r.o = inputs, opts, opts.Obs
-	r.ctl, r.coordLane = opts.Sched, opts.SchedLane
-	r.st, r.emit = st, emit
+	r.bind(st, &opts)
+	r.inputs, r.opts, r.emit = inputs, opts, emit
 	r.shared = d.ops.Clone(initial)
 	r.outs = make([]O, n) // returned to the caller, never recycled
 	r.failed.Store(int32(failNone))
@@ -290,45 +279,31 @@ func (d *Dependence[I, S, O]) runReservations(root *rng.Source, inputs []I, init
 	r.invocations.Store(0)
 	r.fpViolations.Store(0)
 	r.committed = 0
-	r.lanes = opts.Workers
-	if r.lanes < 1 {
-		r.lanes = 1
-	}
+	r.lanes = max(opts.Workers, 1)
 
 	slots := 1
 	if d.reserve != nil {
-		ns, ok, pe := d.safeNumSlots(r.shared)
-		if !ok {
+		ns := 0
+		if pe := contain(func() { ns = d.reserve.NumSlots(r.shared) }); pe != nil {
 			// NumSlots panicked: contained, but no parallel protocol is
-			// possible — the whole vector runs sequentially.
+			// possible — no group ever starts and the whole vector runs
+			// sequentially.
 			r.containPanic(pe)
-			return r.setupFallback()
+			r.recordFailure(failPanic, 0, 0, 0)
+			r.recordAbort(0, 0)
+			r.enterFallback(0, 0, n)
+			r.fallback(0, nil, 0, 0)
+			return r.outs, r.shared, *st
 		}
-		if ns > slots {
-			slots = ns
-		}
+		slots = max(slots, ns)
 	}
 	if cap(r.table) < slots {
 		r.table = make([]atomic.Int64, slots)
 	}
 	r.table = r.table[:slots]
 
-	p := opts.Pool
-	if p == nil {
-		p = newRunPool(opts)
-		p.SetObserver(r.o)
-		defer func() {
-			if r.ctl != nil {
-				r.ctl.Block(r.coordLane)
-			}
-			p.Close()
-			if r.ctl != nil {
-				r.ctl.Unblock(r.coordLane)
-			}
-		}()
-	}
-	r.p = p
-	r.poolBase = p.Metrics()
+	r.openPool(&opts)
+	defer r.closePool()
 	return r.run(numGroups, g)
 }
 
@@ -348,7 +323,7 @@ func (r *resvRun[I, S, O]) run(numGroups, g int) ([]O, S, Stats) {
 	r.st.Invocations += r.invocations.Load()
 	r.st.UsefulInvocations += int64(r.committed)
 	r.st.FootprintViolations += int(r.fpViolations.Load())
-	captureScheduler(r.st, r.p, r.poolBase)
+	r.captureScheduler()
 	return r.outs, r.shared, *r.st
 }
 
@@ -390,19 +365,9 @@ func (r *resvRun[I, S, O]) runGroup(j, start, end int) (bool, []int) {
 
 	rounds := 0
 	for len(pending) > 0 {
-		// The deadline is checked once per round on the coordinator;
-		// under a controller the expiry is a schedulable choice (parked
-		// wall-clock time would otherwise count against the group).
+		// The deadline is checked once per round on the coordinator.
 		if timeout > 0 {
-			expired := false
-			var elapsedNS int64
-			if r.ctl != nil {
-				expired = r.ctl.Choose(sched.PointTimeoutCheck, r.coordLane, 2) == 1
-			} else if elapsed := time.Since(groupStart); elapsed > timeout {
-				expired = true
-				elapsedNS = elapsed.Nanoseconds()
-			}
-			if expired {
+			if expired, elapsedNS := deadlineExpired(r.ctl, r.coordLane, groupStart, timeout); expired {
 				r.failed.Store(int32(failTimeout))
 				r.failArg = elapsedNS
 				break
@@ -433,9 +398,7 @@ func (r *resvRun[I, S, O]) runGroup(j, start, end int) (bool, []int) {
 		}
 
 		// Commit on the coordinator, in ascending input order.
-		if r.ctl != nil {
-			r.ctl.Yield(sched.PointCommit, r.coordLane)
-		}
+		r.yield(sched.PointCommit)
 		if !r.commitRound(j, round, start, pending, fps, states, won) {
 			break
 		}
@@ -469,7 +432,7 @@ func (r *resvRun[I, S, O]) runGroup(j, start, end int) (bool, []int) {
 			gWasteNS += reserveNS[k] + computeNS[k]
 		}
 	}
-	r.flushLaneCPU(j, gCommitNS, gWasteNS)
+	r.fileLaneCPU(j, gCommitNS, gWasteNS)
 	if r.o != nil {
 		r.o.RoundsPerGroup.Observe(int64(rounds))
 		r.o.GroupsFinished.Inc()
@@ -592,13 +555,11 @@ func (r *resvRun[I, S, O]) commitRound(j, round, start int, pending []int, fps [
 			if !won[i-start] {
 				continue
 			}
-			merged, ok, pe := r.safeMerge(next, states[i-start], fps[i-start])
-			if !ok {
+			if pe := contain(func() { next = r.d.reserve.Merge(next, states[i-start], fps[i-start]) }); pe != nil {
 				r.containPanic(pe)
 				r.failed.CompareAndSwap(int32(failNone), int32(failPanic))
 				return false
 			}
-			next = merged
 		}
 		r.shared = next
 	}
@@ -633,26 +594,6 @@ func (r *resvRun[I, S, O]) commitRound(j, round, start int, pending []int, fps [
 	return true
 }
 
-// flushLaneCPU files one group's resolved lane-time attribution into the
-// run's Stats and, when observing, the wasted-work counters and the
-// per-group attribution events.
-func (r *resvRun[I, S, O]) flushLaneCPU(j int, committedNS, wastedNS int64) {
-	if committedNS > 0 {
-		r.st.LaneCPUCommittedNS += committedNS
-		if r.o != nil {
-			r.o.LaneCPUCommitted.Add(committedNS)
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUCommitted, int32(j), committedNS)
-		}
-	}
-	if wastedNS > 0 {
-		r.st.LaneCPUWastedNS += wastedNS
-		if r.o != nil {
-			r.o.LaneCPUWasted.Add(wastedNS)
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvLaneCPUWasted, int32(j), wastedNS)
-		}
-	}
-}
-
 // footprintOf evaluates the input's footprint against the committed
 // state. Out-of-range slots are a contract violation surfaced as a panic,
 // which the wave contains like any user-code panic (the group falls back
@@ -674,21 +615,16 @@ func (r *resvRun[I, S, O]) footprintOf(i int) []int {
 // dependence has no ReserveOps: every input conflicts on slot 0.
 var wholeStateFootprint = []int{0}
 
-// wave fans body over the pending inputs: at most r.lanes contiguous
-// chunks, one pool task each, yielding at point on the chunk's lane
-// before every input. A body panic is contained (failPanic, value and
-// stack recorded); once the run is failed, remaining work bails at its
-// next yield. The coordinator steps out of the schedule around the
-// submit-and-wait (unqueued tasks run inline on it, yielding on their own
-// lanes). The chunk tasks are recycled slots created once per chunk index
-// and reused across waves, groups and runs; the wave's parameters travel
-// through the wave* fields, published to the workers by SubmitBatch and
-// fenced from the next wave by the waveWG barrier.
+// wave fans body over the pending inputs and waits for it: at most
+// r.lanes contiguous chunks, one pool task each, yielding at point on the
+// chunk's lane before every input. A body panic is contained (failPanic,
+// value and stack recorded); once the run is failed, remaining work bails
+// at its next yield. The chunk tasks are recycled slots created once per
+// chunk index and reused across waves, groups and runs; the wave's
+// parameters travel through the wave* fields, published to the workers by
+// SubmitBatch and fenced from the next wave by the waveWG barrier.
 func (r *resvRun[I, S, O]) wave(point sched.Point, pending []int, body func(lane, i int)) {
-	chunks := r.lanes
-	if chunks > len(pending) {
-		chunks = len(pending)
-	}
+	chunks := min(r.lanes, len(pending))
 	per := (len(pending) + chunks - 1) / chunks
 	nTasks := (len(pending) + per - 1) / per
 	for c := len(r.waveTasks); c < nTasks; c++ {
@@ -698,19 +634,7 @@ func (r *resvRun[I, S, O]) wave(point sched.Point, pending []int, body func(lane
 	r.wavePoint, r.waveBody = point, body
 	r.wavePending, r.wavePer = pending, per
 	r.waveWG.Add(nTasks)
-	if r.ctl != nil {
-		r.ctl.Block(r.coordLane)
-	}
-	nq, err := r.p.SubmitBatch(r.waveTasks[:nTasks])
-	if err != nil {
-		for _, task := range r.waveTasks[nq:nTasks] {
-			task()
-		}
-	}
-	r.waveWG.Wait()
-	if r.ctl != nil {
-		r.ctl.Unblock(r.coordLane)
-	}
+	r.dispatch(r.waveTasks[:nTasks], &r.waveWG)
 }
 
 // waveTask runs chunk c of the wave in flight: the contiguous slice of
@@ -722,77 +646,48 @@ func (r *resvRun[I, S, O]) waveTask(c int) {
 	if r.ctl != nil {
 		defer r.ctl.Done(lane)
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.containPanic(&PanicError{Value: rec, Stack: debug.Stack()})
-			r.failed.CompareAndSwap(int32(failNone), int32(failPanic))
-		}
-	}()
 	lo := c * r.wavePer
-	hi := lo + r.wavePer
-	if hi > len(r.wavePending) {
-		hi = len(r.wavePending)
-	}
-	for _, i := range r.wavePending[lo:hi] {
-		if r.ctl != nil {
-			r.ctl.Yield(r.wavePoint, lane)
+	hi := min(lo+r.wavePer, len(r.wavePending))
+	if pe := contain(func() {
+		for _, i := range r.wavePending[lo:hi] {
+			if r.ctl != nil {
+				r.ctl.Yield(r.wavePoint, lane)
+			}
+			if r.failed.Load() != int32(failNone) {
+				return
+			}
+			r.waveBody(lane, i)
 		}
-		if r.failed.Load() != int32(failNone) {
-			return
-		}
-		r.waveBody(lane, i)
+	}); pe != nil {
+		r.containPanic(pe)
+		r.failed.CompareAndSwap(int32(failNone), int32(failPanic))
 	}
 }
 
 // abort handles a group failure: classify it, squash the uncommitted
-// inputs, and reprocess them sequentially in ascending order from the
-// committed state — each with its pre-assigned random source, so the
-// outputs stay byte-identical to the sequential baseline.
+// inputs, and reprocess them sequentially.
 func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int) {
 	n := len(r.inputs)
-	switch groupFailure(r.failed.Load()) {
-	case failPanic:
-		r.st.PanickedGroups++
-		if r.o != nil {
-			r.o.PanickedGroups.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, int32(j), int64(len(pending)))
-		}
-	case failTimeout:
-		r.st.TimedOutGroups++
-		if r.o != nil {
-			r.o.GroupTimeouts.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvGroupTimeout, int32(j), r.failArg)
-		}
-	case failFootprint:
-		// The oracle already counted each offending slot (and emitted
-		// EvFootprintViolation per slot); only the shared abort/squash/
-		// fallback bookkeeping below remains.
-	}
-	r.st.Aborts++
-	if r.o != nil {
-		r.o.Aborts.Inc()
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, int32(j), 0)
-		r.o.Squashes.Inc()
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(j), int64(len(pending)))
-		for k := j + 1; k < numGroups; k++ {
-			ks, ke := k*g, min(n, (k+1)*g)
-			r.o.Squashes.Inc()
-			r.o.Tracer.Emit(obs.LaneCoord, obs.EvSquash, int32(k), int64(ke-ks))
-		}
+	r.recordFailure(groupFailure(r.failed.Load()), j, len(pending), r.failArg)
+	r.recordAbort(j, 0)
+	r.recordSquash(j, len(pending))
+	for k := j + 1; k < numGroups; k++ {
+		r.recordSquash(k, min(n, (k+1)*g)-k*g)
 	}
 	remaining := len(pending) + (n - end)
-	r.st.SquashedInputs = remaining
-	r.st.FallbackInputs = remaining
-	if r.o != nil {
-		r.o.FallbackInputs.Add(int64(remaining))
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, int32(j), int64(remaining))
-	}
-	if r.ctl != nil {
-		r.ctl.Yield(sched.PointFallback, r.coordLane)
-	}
-	// Fill the failed group's pending slots, then stream the whole group
-	// in input order (its committed outputs were never emitted), then the
-	// tail sequentially.
+	r.enterFallback(j, remaining, remaining)
+	r.fallback(j, pending, start, end)
+}
+
+// fallback reprocesses the squashed inputs in ascending order from the
+// committed state — each with its pre-assigned random source, so the
+// outputs stay byte-identical to the sequential baseline: first the
+// failed group's pending inputs, then the whole group [start, end)
+// streams in input order (its committed outputs were never emitted),
+// then the tail runs and streams sequentially. The fallback produced
+// committed outputs; its time is filed against group j, whose squashed
+// work it redid.
+func (r *resvRun[I, S, O]) fallback(j int, pending []int, start, end int) {
 	fbStart := time.Now()
 	for _, i := range pending {
 		r.seqOne(i)
@@ -802,15 +697,13 @@ func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int)
 			r.emit(i, r.outs[i])
 		}
 	}
-	for i := end; i < n; i++ {
+	for i := end; i < len(r.inputs); i++ {
 		r.seqOne(i)
 		if r.emit != nil {
 			r.emit(i, r.outs[i])
 		}
 	}
-	// The fallback produced committed outputs; file its time against the
-	// aborting group, whose squashed work it redid.
-	r.flushLaneCPU(j, time.Since(fbStart).Nanoseconds(), 0)
+	r.fileLaneCPU(j, time.Since(fbStart).Nanoseconds(), 0)
 	r.drainPanics()
 }
 
@@ -820,11 +713,19 @@ func (r *resvRun[I, S, O]) abort(j, numGroups, g, start, end int, pending []int)
 // value copy of the source, so a panicked attempt leaves the committed
 // state and the input's stream untouched, and transient faults (at most
 // one per input, the chaos contract) replay deterministically. A second
-// panic is a deterministic application bug and propagates.
+// panic is a deterministic application bug and propagates. The first
+// attempt runs on the coordinator, so its panic record goes straight into
+// the run's collection (drained by fallback).
 func (r *resvRun[I, S, O]) seqOne(i int) {
-	out, next, ok := r.tryComputeSeq(i)
+	var out O
+	var next S
+	pe := contain(func() {
+		src := r.srcs[i]
+		out, next = r.d.compute(&src, r.inputs[i], r.d.ops.Clone(r.shared))
+	})
 	r.st.Invocations++
-	if !ok {
+	if pe != nil {
+		r.containPanic(pe)
 		src := r.srcs[i]
 		out, next = r.d.compute(&src, r.inputs[i], r.shared)
 		r.st.Invocations++
@@ -832,74 +733,4 @@ func (r *resvRun[I, S, O]) seqOne(i int) {
 	r.shared = next
 	r.outs[i] = out
 	r.st.UsefulInvocations++
-}
-
-// tryComputeSeq is seqOne's contained first attempt. It runs on the
-// coordinator, so the panic record goes straight into the run's
-// collection (drained by the fallback epilogues).
-func (r *resvRun[I, S, O]) tryComputeSeq(i int) (out O, next S, ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			r.containPanic(&PanicError{Value: rec, Stack: debug.Stack()})
-		}
-	}()
-	src := r.srcs[i]
-	out, next = r.d.compute(&src, r.inputs[i], r.d.ops.Clone(r.shared))
-	return out, next, true
-}
-
-// setupFallback handles a contained NumSlots panic: no group ever starts
-// and the whole vector runs sequentially.
-func (r *resvRun[I, S, O]) setupFallback() ([]O, S, Stats) {
-	n := len(r.inputs)
-	r.st.Aborts++
-	r.st.PanickedGroups++
-	r.st.SquashedInputs = 0
-	r.st.FallbackInputs = n
-	if r.o != nil {
-		r.o.Aborts.Inc()
-		r.o.PanickedGroups.Inc()
-		r.o.FallbackInputs.Add(int64(n))
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvPanic, 0, 0)
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvAbort, 0, 0)
-		r.o.Tracer.Emit(obs.LaneCoord, obs.EvFallback, 0, int64(n))
-	}
-	if r.ctl != nil {
-		r.ctl.Yield(sched.PointFallback, r.coordLane)
-	}
-	fbStart := time.Now()
-	for i := 0; i < n; i++ {
-		r.seqOne(i)
-		if r.emit != nil {
-			r.emit(i, r.outs[i])
-		}
-	}
-	r.flushLaneCPU(0, time.Since(fbStart).Nanoseconds(), 0)
-	r.drainPanics()
-	return r.outs, r.shared, *r.st
-}
-
-// safeNumSlots evaluates the developer's slot count with panic
-// containment, returning the recovered value and stack on failure.
-func (d *Dependence[I, S, O]) safeNumSlots(s S) (n int, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			pe = &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return d.reserve.NumSlots(s), true, nil
-}
-
-// safeMerge applies the developer's Merge with panic containment,
-// returning the recovered value and stack on failure.
-func (r *resvRun[I, S, O]) safeMerge(dst, src S, slots []int) (merged S, ok bool, pe *PanicError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			pe = &PanicError{Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	return r.d.reserve.Merge(dst, src, slots), true, nil
 }

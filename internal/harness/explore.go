@@ -293,6 +293,12 @@ func ExploreTable(e *Env, cfg ExploreConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return exploreTable(rows)
+}
+
+// exploreTable renders already-run campaign rows; the error reports any
+// contract failure among them.
+func exploreTable(rows []ExploreRow) (*Table, error) {
 	t := &Table{
 		Title: "Explore — systematic schedule exploration under controlled scheduling",
 		Columns: []string{

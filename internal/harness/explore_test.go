@@ -56,16 +56,9 @@ func TestExploreQuick(t *testing.T) {
 	if !sawResv || !sawSynthResv {
 		t.Errorf("missing reservation rows: workload=%v synthetic=%v", sawResv, sawSynthResv)
 	}
-}
 
-func TestExploreTableRenders(t *testing.T) {
-	if raceEnabled {
-		t.Skip("rendering is covered without the race detector; the campaign itself runs in TestExploreQuick")
-	}
-	e := NewEnv(true)
-	tb, err := ExploreTable(e, ExploreConfig{
-		SchedulesPerRow: 2, ReplayEvery: 2, DumpDir: t.TempDir(),
-	})
+	// The table renders from the rows this campaign produced.
+	tb, err := exploreTable(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,5 +69,23 @@ func TestExploreTableRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestExploreTableRenders checks the table's totals and its failure
+// verdict on fixed rows, without running a campaign.
+func TestExploreTableRenders(t *testing.T) {
+	rows := []ExploreRow{
+		{Name: "a", Schedules: 3, Distinct: 2},
+		{Name: "b", Schedules: 4, Distinct: 4, Failures: 1},
+	}
+	tb, err := exploreTable(rows)
+	if err == nil || !strings.Contains(err.Error(), "1 schedule(s) broke the output contract") {
+		t.Fatalf("want the failing row reported, got %v", err)
+	}
+	var sb strings.Builder
+	tb.Render(&sb)
+	if out := sb.String(); !strings.Contains(out, "7 schedules explored (6 distinct interleavings), 1 contract failures") {
+		t.Errorf("rendered table has wrong totals:\n%s", out)
 	}
 }

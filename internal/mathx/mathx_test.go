@@ -219,23 +219,3 @@ func TestMedianWithinMinMaxProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHash64(t *testing.T) {
-	// FNV-1a reference digests: empty input is the offset basis, and one
-	// zero byte folds to offset^0 * prime repeated — checked here via the
-	// canonical single-byte vector through Word's byte loop.
-	if got := NewHash64().Sum(); got != 14695981039346656037 {
-		t.Fatalf("offset basis = %d", got)
-	}
-	a := NewHash64().Int(42).Float(3.5).Word(7).Sum()
-	b := NewHash64().Int(42).Float(3.5).Word(7).Sum()
-	if a != b {
-		t.Fatalf("hash not deterministic: %d vs %d", a, b)
-	}
-	if x, y := NewHash64().Int(1).Int(2).Sum(), NewHash64().Int(2).Int(1).Sum(); x == y {
-		t.Fatalf("hash ignores order: %d", x)
-	}
-	if x, y := NewHash64().Float(1.0).Sum(), NewHash64().Float(1.5).Sum(); x == y {
-		t.Fatalf("distinct floats collide: %d", x)
-	}
-}

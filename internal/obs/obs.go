@@ -61,12 +61,6 @@ type Observer struct {
 	Redos      *Counter
 	Aborts     *Counter
 	Squashes   *Counter
-	// FingerprintHits and FingerprintMisses count hash-first acceptance
-	// attempts whose fingerprint prefilter passed through to the deep
-	// compare vs rejected without one (dependences defining both
-	// MatchAny and Fingerprint).
-	FingerprintHits   *Counter
-	FingerprintMisses *Counter
 	// FallbackInputs counts inputs reprocessed sequentially after an
 	// abort.
 	FallbackInputs *Counter
@@ -146,11 +140,7 @@ func NewObserver(lanes, perLaneCap int) *Observer {
 		AuxProduced:    reg.Counter("stats_aux_produced_total"),
 		Matches:        reg.Counter("stats_validation_match_total"),
 		Mismatches:     reg.Counter("stats_validation_mismatch_total"),
-		FingerprintHits: reg.Counter(
-			"stats_fingerprint_hits_total"),
-		FingerprintMisses: reg.Counter(
-			"stats_fingerprint_misses_total"),
-		Redos: reg.Counter("stats_redos_total"),
+		Redos:          reg.Counter("stats_redos_total"),
 		Aborts:         reg.Counter("stats_aborts_total"),
 		Squashes:       reg.Counter("stats_squashed_groups_total"),
 		FallbackInputs: reg.Counter("stats_fallback_inputs_total"),
@@ -187,8 +177,6 @@ func NewObserver(lanes, perLaneCap int) *Observer {
 		"stats_aux_produced_total":              "auxiliary-code executions that produced a speculative start state",
 		"stats_validation_match_total":          "group boundaries whose speculative state was accepted",
 		"stats_validation_mismatch_total":       "group boundaries whose first validation attempt rejected the speculative state",
-		"stats_fingerprint_hits_total":          "hash-first acceptance attempts whose fingerprint prefilter fell through to the deep compare",
-		"stats_fingerprint_misses_total":        "hash-first acceptance attempts rejected by the fingerprint prefilter without a deep compare",
 		"stats_redos_total":                     "original-producer re-executions",
 		"stats_aborts_total":                    "boundaries that exhausted their redo budget and aborted speculation",
 		"stats_squashed_groups_total":           "groups squashed by an abort",

@@ -419,21 +419,26 @@ func (p *Pool) SubmitBatch(tasks []Task) (int, error) {
 		// across the workers' local deques.
 		quota := (remaining + int(ns) - 1) / int(ns)
 		pushedThisSweep := 0
-		for i := uint64(0); i < ns && enq < len(tasks); i++ {
+		closed := false
+		for i := uint64(0); i < ns && enq < len(tasks) && !closed; i++ {
 			s := p.shards[(h+i)%ns]
-			k, depth, closed := s.pushMany(tasks[enq:], quota, &p.closed, &p.pending)
-			if closed {
-				return enq, ErrClosed
-			}
+			var k, depth int
+			k, depth, closed = s.pushMany(tasks[enq:], quota, &p.closed, &p.pending)
 			if k > 0 {
 				enq += k
 				pushedThisSweep += k
 				p.noteDepth(depth)
 			}
 		}
+		// Count (and wake workers for) this sweep's pushes before any
+		// early return: Close drains and runs them, so they must be in
+		// Submitted whether or not a later shard reported the pool closed.
 		if pushedThisSweep > 0 {
 			p.submitted.Add(int64(pushedThisSweep))
 			p.wake(pushedThisSweep)
+		}
+		if closed {
+			return enq, ErrClosed
 		}
 		if enq < len(tasks) && pushedThisSweep == 0 {
 			select {

@@ -406,17 +406,6 @@ func stateOps() core.StateOps[State] {
 			}
 			return false
 		},
-		// Acceptance is a tolerance ball over a continuous pose distance
-		// (and the auxiliary state may carry a different particle count
-		// than the originals), so no continuous feature — nor the
-		// particle count — survives an accepted pair. The only
-		// acceptance-invariant feature is the fixed pose dimensionality:
-		// the prefilter always falls through to the deep comparison,
-		// which keeps the hash-first wiring and its hit counter live at
-		// the cost of one probe.
-		Fingerprint: func(State) uint64 {
-			return mathx.NewHash64().Int(numParts).Sum()
-		},
 	}
 }
 

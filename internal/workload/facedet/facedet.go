@@ -320,17 +320,6 @@ func stateOps() core.StateOps[State] {
 			}
 			return false
 		},
-		// Acceptance is a sub-pixel tolerance ball over the mean-face
-		// corner distance, and spec and original particle counts may
-		// differ (auxiliary re-detection uses its own particle tradeoff),
-		// so the only acceptance-invariant feature is the fixed 4-corner
-		// box structure: the prefilter always falls through to the deep
-		// comparison, keeping the hash-first wiring live at the cost of
-		// one probe.
-		Fingerprint: func(State) uint64 {
-			const boxCorners = 4
-			return mathx.NewHash64().Int(boxCorners).Sum()
-		},
 	}
 }
 

@@ -330,16 +330,6 @@ func stateOps() core.StateOps[State] {
 			}
 			return false
 		},
-		// Acceptance triangulates a continuous particle-position
-		// distance, so positions and velocities cannot enter the hash;
-		// the particle count is the one structural feature every state
-		// of a run shares (the auxiliary producer simulates the same
-		// fluid, never resizes it). Within a run the prefilter always
-		// falls through; a cross-run size mismatch would reject without
-		// the O(particles) deep comparison.
-		Fingerprint: func(s State) uint64 {
-			return mathx.NewHash64().Int(len(s.Pos)).Sum()
-		},
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/tradeoff"
@@ -255,15 +254,9 @@ func auxCode(s Swaption, p params) core.Aux[Block, PriceState] {
 }
 
 // stateOps: value clone, by-construction acceptance (nil MatchAny).
-// Without a MatchAny the engine never consults the fingerprint (states
-// are accepted by construction); it documents the state's identity
-// features and keeps the hash-first wiring uniform across the suite.
 func stateOps() core.StateOps[PriceState] {
 	return core.StateOps[PriceState]{
 		Clone: func(s PriceState) PriceState { return s },
-		Fingerprint: func(s PriceState) uint64 {
-			return mathx.NewHash64().Float(s.Sum).Float(s.Count).Sum()
-		},
 	}
 }
 

@@ -51,14 +51,6 @@ type CloneFunc[S any] func(S) S
 // acceptable given the set of original states produced so far.
 type MatchFunc[S any] func(speculative S, originals []S) bool
 
-// FingerprintFunc is the optional hash-first acceptance prefilter: a
-// cheap digest of the state features MatchFunc compares. The contract is
-// one-sided — Fingerprint(a) == Fingerprint(b) whenever MatchFunc would
-// accept a against {b} — so a fingerprint mismatch rejects without the
-// deep comparison and a collision merely falls through to it. A wrong
-// fingerprint costs time, never correctness.
-type FingerprintFunc[S any] func(S) uint64
-
 // Protocol selects how the runtime satisfies a state dependence
 // speculatively; see the core engine's protocols.
 type Protocol = core.Protocol
@@ -138,15 +130,14 @@ type RunStats = core.Stats
 // (Figure 9). Create one with NewStateDependence, optionally attach
 // auxiliary code and state methods, Configure it, then Start and Join.
 type StateDependence[I, S, O any] struct {
-	inputs      []I
-	initial     S
-	compute     ComputeFunc[I, S, O]
-	aux         AuxFunc[I, S]
-	clone       CloneFunc[S]
-	match       MatchFunc[S]
-	fingerprint FingerprintFunc[S]
-	reserve     *ReserveOps[I, S]
-	opts        Options
+	inputs  []I
+	initial S
+	compute ComputeFunc[I, S, O]
+	aux     AuxFunc[I, S]
+	clone   CloneFunc[S]
+	match   MatchFunc[S]
+	reserve *ReserveOps[I, S]
+	opts    Options
 	// coreDep is the lowered engine dependence, built lazily and cached so
 	// repeated runs through one SDI reuse the engine's recycled run state
 	// (its sync.Pool scratch lives on the Dependence). Setters invalidate
@@ -197,17 +188,6 @@ func (sd *StateDependence[I, S, O]) SetStateOps(clone CloneFunc[S], match MatchF
 		sd.clone = clone
 	}
 	sd.match = match
-	sd.coreDep = nil
-	return sd
-}
-
-// SetFingerprint attaches the hash-first acceptance prefilter consulted
-// before the deep MatchFunc comparison at group boundaries (see
-// FingerprintFunc for the contract). It is ignored for dependences
-// without a MatchFunc — their speculative states are accepted by
-// construction and never compared.
-func (sd *StateDependence[I, S, O]) SetFingerprint(fp FingerprintFunc[S]) *StateDependence[I, S, O] {
-	sd.fingerprint = fp
 	sd.coreDep = nil
 	return sd
 }
@@ -283,9 +263,8 @@ func (sd *StateDependence[I, S, O]) dep() *core.Dependence[I, S, O] {
 		return sd.coreDep
 	}
 	d := core.New(core.Compute[I, S, O](sd.compute), core.Aux[I, S](sd.aux), core.StateOps[S]{
-		Clone:       sd.clone,
-		MatchAny:    sd.match,
-		Fingerprint: sd.fingerprint,
+		Clone:    sd.clone,
+		MatchAny: sd.match,
 	})
 	if sd.reserve != nil {
 		d = d.WithReserve(core.ReserveOps[I, S]{
